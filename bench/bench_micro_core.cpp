@@ -7,6 +7,7 @@
 // in BENCH_micro_core.json like the figure benches' artifacts.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -343,19 +344,106 @@ void BM_OptGossipCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_OptGossipCycle)->Unit(benchmark::kMillisecond)->Arg(500);
 
+// OPT's bounded k-coverage selection in the shape of the flood-random
+// benchmark workload: 600 nodes, 300 topics, 50 random subscriptions each,
+// the shared-count memo attached, and ~46-candidate pools carrying
+// descriptor set ids. A pool is assembled the way a T-Man exchange builds
+// one from a converged OPT overlay: the selecting node's table and a
+// partner's table, which recur from one exchange to the next, plus random
+// samples, which are drawn afresh for each of a node's 30 selections. The
+// memo starts cold every 18,000 selections (600 nodes × 30), as it does
+// in each flood-random round. One iteration is one select call, so time ×
+// the ranking phase's call count should match that phase's wall time.
 void BM_CoverageSelection(benchmark::State& state) {
-  const auto scenario = SystemHarness::make_scenario(500);
-  baselines::opt::CoverageSelector selector(2, scenario.subscriptions);
-  sim::Rng rng(5);
-  std::vector<gossip::Descriptor> candidates;
-  for (int i = 0; i < 40; ++i) {
-    const auto node = static_cast<ids::NodeIndex>(rng.index(500));
-    candidates.push_back(
-        gossip::Descriptor{node, ids::node_ring_id(node), 0});
+  constexpr std::size_t kNodes = 600;
+  constexpr std::size_t kPool = 46;
+  constexpr std::size_t kSelectionsPerNode = 30;
+  workload::SyntheticScenarioParams params;
+  params.subscriptions.nodes = kNodes;
+  params.subscriptions.topics = 300;
+  params.subscriptions.subs_per_node = 50;
+  params.subscriptions.pattern = workload::CorrelationPattern::kRandom;
+  params.events = 16;
+  params.seed = 42;
+  const auto scenario = workload::make_synthetic_scenario(params);
+  const baselines::opt::OptConfig config;
+  auto system = workload::make_opt(scenario, config, 42);
+  system->run_cycles(15);
+  pubsub::SubscriptionRegistry registry;
+  std::vector<pubsub::SetId> set_ids;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    set_ids.push_back(registry.intern(
+        scenario.subscriptions.of(static_cast<ids::NodeIndex>(n))));
   }
+  const auto descriptor = [&](ids::NodeIndex node) {
+    return gossip::Descriptor{node, ids::node_ring_id(node), 0, 0,
+                              set_ids[node]};
+  };
+
+  // pools[self]: the recurring table part; samples[pass][self]: the fresh
+  // random part of one selection, disjoint from the pool and self.
+  sim::Rng rng(5);
+  std::vector<std::vector<gossip::Descriptor>> pools(kNodes);
+  std::vector<std::vector<std::vector<ids::NodeIndex>>> samples(
+      kSelectionsPerNode, std::vector<std::vector<ids::NodeIndex>>(kNodes));
+  for (std::size_t self = 0; self < kNodes; ++self) {
+    auto& pool = pools[self];
+    const auto fresh = [&](ids::NodeIndex node) {
+      if (node == self) return false;
+      for (const auto& d : pool) {
+        if (d.node == node) return false;
+      }
+      return true;
+    };
+    const auto& mine =
+        system->routing_table(static_cast<ids::NodeIndex>(self));
+    const auto add_table = [&](const overlay::RoutingTable& rt) {
+      for (const auto& e : rt.entries()) {
+        if (pool.size() < kPool && fresh(e.node)) {
+          pool.push_back(descriptor(e.node));
+        }
+      }
+    };
+    add_table(mine);
+    if (!mine.empty()) {
+      add_table(system->routing_table(
+          mine.entries()[rng.index(mine.size())].node));
+    }
+    for (auto& pass : samples) {
+      auto& sample = pass[self];
+      while (pool.size() + sample.size() < kPool) {
+        const auto node = static_cast<ids::NodeIndex>(rng.index(kNodes));
+        if (fresh(node) &&
+            std::find(sample.begin(), sample.end(), node) == sample.end()) {
+          sample.push_back(node);
+        }
+      }
+    }
+  }
+
+  core::PairUtilityCache cache(config.pair_cache_slots);
+  baselines::opt::CoverageSelector selector(config.coverage_target,
+                                            scenario.subscriptions);
+  selector.set_cache(&cache);
+  std::vector<gossip::Descriptor> candidates;
+  std::size_t self = 0;
+  std::size_t pass = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        selector.select_bounded(scenario.subscriptions.of(0), candidates, 15));
+    candidates.assign(pools[self].begin(), pools[self].end());
+    for (const ids::NodeIndex node : samples[pass][self]) {
+      candidates.push_back(descriptor(node));
+    }
+    const auto node = static_cast<ids::NodeIndex>(self);
+    benchmark::DoNotOptimize(selector.select_bounded(
+        scenario.subscriptions.of(node), candidates,
+        config.base.routing_table_size, set_ids[self]));
+    if (++self == kNodes) {
+      self = 0;
+      if (++pass == kSelectionsPerNode) {
+        pass = 0;
+        cache.invalidate();
+      }
+    }
   }
 }
 BENCHMARK(BM_CoverageSelection);

@@ -41,6 +41,7 @@ OptSystem::OptSystem(OptConfig config, pubsub::SubscriptionTable subscriptions,
       coverage_[i].assign(
           this->subscriptions().of(static_cast<ids::NodeIndex>(i)).size(), 0);
     }
+    linked_.assign(node_count(), 0);
   }
 }
 
@@ -53,11 +54,17 @@ void OptSystem::select_neighbors(ids::NodeIndex self,
   const auto& my_subs = subscriptions().of(self);
   if (config_.unbounded) {
     // Additive: keep every existing link, add what coverage still needs.
+    // Topics covered only by lost links are re-counted as under-covered
+    // (without memo calls, so static runs replay the same memo history).
+    if (rt.size() != linked_[self]) {
+      selector_.count_coverage(my_subs, rt, coverage_[self]);
+    }
     for (const auto& entry :
          selector_.select_additional(my_subs, candidates, rt,
                                      coverage_[self], set_id(self))) {
       (void)rt.add(entry);
     }
+    linked_[self] = rt.size();
     return;
   }
   rt.assign(selector_.select_bounded(my_subs, candidates,
@@ -77,18 +84,6 @@ void OptSystem::sync_cache_counters(support::Profiler& profiler) const {
 
 double OptSystem::cache_hit_rate() const {
   return coverage_cache_.stats().hit_rate();
-}
-
-void OptSystem::on_join(ids::NodeIndex node) {
-  if (config_.unbounded) {
-    coverage_[node].assign(subscriptions().of(node).size(), 0);
-  }
-}
-
-void OptSystem::on_leave(ids::NodeIndex node) {
-  if (config_.unbounded) {
-    coverage_[node].assign(subscriptions().of(node).size(), 0);
-  }
 }
 
 pubsub::DisseminationReport OptSystem::publish(ids::TopicIndex topic,

@@ -54,8 +54,6 @@ class OptSystem final : public BaselineSystem {
   void select_neighbors(ids::NodeIndex self,
                         std::span<const gossip::Descriptor> candidates,
                         overlay::RoutingTable& rt, sim::Rng& rng) override;
-  void on_join(ids::NodeIndex node) override;
-  void on_leave(ids::NodeIndex node) override;
   void sync_cache_counters(support::Profiler& profiler) const override;
   [[nodiscard]] double cache_hit_rate() const override;
 
@@ -68,8 +66,14 @@ class OptSystem final : public BaselineSystem {
   /// are shared-topic counts, not Eq.-1 utilities).
   core::PairUtilityCache coverage_cache_;
   /// Unbounded mode: per-node per-subscribed-topic coverage counters,
-  /// aligned with each node's sorted subscription list.
+  /// aligned with each node's sorted subscription list, as of the node's
+  /// last selection.
   std::vector<std::vector<std::uint8_t>> coverage_;
+  /// Unbounded mode: each node's table size right after its last
+  /// selection. Links enter the table only through selection, so a smaller
+  /// table means links were lost since (T-Man timeout, heartbeat expiry,
+  /// leave) and coverage_ must be recounted.
+  std::vector<std::size_t> linked_;
 };
 
 }  // namespace vitis::baselines::opt

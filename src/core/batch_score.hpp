@@ -1,13 +1,12 @@
 // Batched utility scoring over a contiguous candidate pool.
 //
-// Ranking (Vitis' Algorithm 4 and the OPT coverage selector) evaluates one
-// prepared set against many candidates. The per-candidate path walks the
-// arena's Profile column — one pointer chase per fingerprint — and decides
-// prefilter, memo probe, and merge one candidate at a time. BatchScorer
-// instead mirrors the pool into structure-of-arrays columns (fingerprints,
-// SetIds; the same layout discipline as core::NodeArena) so the three
-// integer-exact decisions run as SIMD passes over the whole pool
-// (support/simd.hpp):
+// Ranking (Vitis' Algorithm 4) evaluates one prepared set against many
+// candidates. The per-candidate path walks the arena's Profile column — one
+// pointer chase per fingerprint — and decides prefilter, memo probe, and
+// merge one candidate at a time. BatchScorer instead mirrors the pool into
+// structure-of-arrays columns (fingerprints, SetIds; the same layout
+// discipline as core::NodeArena) so the three integer-exact decisions run
+// as SIMD passes over the whole pool (support/simd.hpp):
 //
 //   1. one disjoint_mask pass computes every prefilter verdict (4
 //      fingerprints per AVX2 step);

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "baselines/opt/coverage.hpp"
 #include "core/batch_score.hpp"
 #include "core/utility.hpp"
 #include "core/vitis_system.hpp"
@@ -358,6 +359,73 @@ TEST(AllocationAudit, ObserveSampleIsAllocationFree) {
   const std::uint64_t during = g_allocations - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations in 8 recorder samples";
+}
+
+TEST(AllocationAudit, CoverageSelectionSteadyStateIsAllocationFree) {
+  // OPT's k-coverage selection keeps masks, counts, flags, coverage, fill
+  // order and the selected entries as selector members: after one warm-up
+  // call per selecting set, repeated bounded and additional selections
+  // (memo probes, inserts and evictions included) must not touch the heap.
+  constexpr std::size_t kTopics = 300;
+  constexpr std::size_t kNodes = 120;
+  constexpr std::size_t kCandidates = 46;
+  sim::Rng rng(0x0c0fe4a9eULL);
+  std::vector<pubsub::SubscriptionSet> by_node;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    // Nodes 0 and 1 select with 1- and 3-word position masks.
+    const std::size_t count = n == 0 ? 50 : n == 1 ? 150 : 10 + rng.index(40);
+    std::vector<ids::TopicIndex> topics;
+    for (const std::size_t t : rng.sample_indices(kTopics, count)) {
+      topics.push_back(static_cast<ids::TopicIndex>(t));
+    }
+    by_node.emplace_back(std::move(topics));
+  }
+  const pubsub::SubscriptionTable table(std::move(by_node), kTopics);
+  pubsub::SubscriptionRegistry registry;
+  std::vector<pubsub::SetId> set_ids;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    set_ids.push_back(
+        registry.intern(table.of(static_cast<ids::NodeIndex>(n))));
+  }
+  std::vector<gossip::Descriptor> pool;
+  for (std::size_t i = 0; i < kCandidates; ++i) {
+    const auto node = static_cast<ids::NodeIndex>(2 + rng.index(kNodes - 2));
+    pool.push_back(gossip::Descriptor{node, ids::node_ring_id(node), 0, 0,
+                                      set_ids[node]});
+  }
+  overlay::RoutingTable current(kCandidates);
+  for (std::size_t i = 0; i < kCandidates; i += 5) {
+    (void)current.add(overlay::RoutingEntry{pool[i].node, pool[i].id,
+                                            overlay::LinkKind::kCoverage, 0});
+  }
+
+  baselines::opt::CoverageSelector selector(2, table);
+  PairUtilityCache cache(64);  // small: evictions in the window too
+  selector.set_cache(&cache);
+  std::vector<std::uint8_t> coverage;
+  std::size_t selected = 0;
+  const auto round = [&] {
+    for (ids::NodeIndex self = 0; self < 2; ++self) {
+      selected +=
+          selector.select_bounded(table.of(self), pool, 15, set_ids[self])
+              .size();
+      selector.count_coverage(table.of(self), current, coverage);
+      selected += selector
+                      .select_additional(table.of(self), pool, current,
+                                         coverage, set_ids[self])
+                      .size();
+    }
+  };
+  round();  // warm-up grows every member buffer
+
+  const std::uint64_t lookups_before = cache.stats().lookups();
+  const std::uint64_t before = g_allocations;
+  for (int rep = 0; rep < 4; ++rep) round();
+  const std::uint64_t during = g_allocations - before;
+  EXPECT_EQ(during, 0u) << during
+                        << " heap allocations in 16 steady-state selections";
+  EXPECT_GT(cache.stats().lookups(), lookups_before);
+  EXPECT_GT(selected, 0u);
 }
 
 }  // namespace

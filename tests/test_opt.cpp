@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include "baselines/opt/opt_system.hpp"
+#include "sim/rng.hpp"
 #include "workload/scenario.hpp"
 #include "workload/twitter.hpp"
 
@@ -80,6 +85,324 @@ TEST(CoverageSelector, AdditionalSelectionUpdatesCoverage) {
   const auto again = selector.select_additional(
       table.of(0), std::vector<gossip::Descriptor>{d(1)}, current, coverage);
   EXPECT_TRUE(again.empty());
+}
+
+// The former merge-based selector, kept as the oracle for the position-
+// mask implementation: per candidate, a fingerprint test, then the memo
+// probe, then a two-pointer merge into a fresh position vector.
+class MergeSelector {
+ public:
+  MergeSelector(std::size_t target, const pubsub::SubscriptionTable& table,
+                core::PairUtilityCache* cache)
+      : target_(target), table_(&table), cache_(cache) {}
+
+  std::vector<overlay::RoutingEntry> select_bounded(
+      const SubscriptionSet& my_subs,
+      std::span<const gossip::Descriptor> candidates, std::size_t capacity,
+      pubsub::SetId my_id) {
+    struct Scored {
+      const gossip::Descriptor* descriptor;
+      std::vector<std::uint32_t> shared;
+      bool used = false;
+    };
+    std::vector<Scored> scored;
+    for (const auto& d : candidates) {
+      scored.push_back(Scored{
+          &d, shared_positions(my_subs, my_id, table_->of(d.node), d.set_id)});
+    }
+    std::vector<std::uint8_t> coverage(my_subs.size(), 0);
+    std::vector<overlay::RoutingEntry> selected;
+    while (selected.size() < capacity) {
+      std::size_t best = scored.size();
+      std::size_t best_gain = 0;
+      for (std::size_t i = 0; i < scored.size(); ++i) {
+        if (scored[i].used) continue;
+        std::size_t gain = 0;
+        for (const std::uint32_t pos : scored[i].shared) {
+          if (coverage[pos] < target_) ++gain;
+        }
+        const bool better =
+            gain > best_gain ||
+            (gain == best_gain && gain > 0 && best < scored.size() &&
+             (scored[i].shared.size() > scored[best].shared.size() ||
+              (scored[i].shared.size() == scored[best].shared.size() &&
+               scored[i].descriptor->node < scored[best].descriptor->node)));
+        if (better) {
+          best = i;
+          best_gain = gain;
+        }
+      }
+      if (best == scored.size() || best_gain == 0) break;
+      scored[best].used = true;
+      for (const std::uint32_t pos : scored[best].shared) {
+        if (coverage[pos] < 255) ++coverage[pos];
+      }
+      selected.push_back(link(*scored[best].descriptor));
+    }
+    std::vector<std::size_t> rest;
+    for (std::size_t i = 0; i < scored.size(); ++i) {
+      if (!scored[i].used && !scored[i].shared.empty()) rest.push_back(i);
+    }
+    std::sort(rest.begin(), rest.end(), [&](std::size_t a, std::size_t b) {
+      if (scored[a].shared.size() != scored[b].shared.size()) {
+        return scored[a].shared.size() > scored[b].shared.size();
+      }
+      return scored[a].descriptor->node < scored[b].descriptor->node;
+    });
+    for (const std::size_t i : rest) {
+      if (selected.size() >= capacity) break;
+      selected.push_back(link(*scored[i].descriptor));
+    }
+    return selected;
+  }
+
+  std::vector<overlay::RoutingEntry> select_additional(
+      const SubscriptionSet& my_subs,
+      std::span<const gossip::Descriptor> candidates,
+      const overlay::RoutingTable& current,
+      std::vector<std::uint8_t>& coverage, pubsub::SetId my_id) {
+    std::vector<overlay::RoutingEntry> additions;
+    for (const auto& d : candidates) {
+      if (current.contains(d.node)) continue;
+      const auto shared =
+          shared_positions(my_subs, my_id, table_->of(d.node), d.set_id);
+      std::size_t gain = 0;
+      for (const std::uint32_t pos : shared) {
+        if (coverage[pos] < target_) ++gain;
+      }
+      if (gain == 0) continue;
+      for (const std::uint32_t pos : shared) {
+        if (coverage[pos] < 255) ++coverage[pos];
+      }
+      additions.push_back(link(d));
+    }
+    return additions;
+  }
+
+ private:
+  static overlay::RoutingEntry link(const gossip::Descriptor& d) {
+    return overlay::RoutingEntry{d.node, d.id, overlay::LinkKind::kCoverage,
+                                 0};
+  }
+
+  std::vector<std::uint32_t> shared_positions(const SubscriptionSet& mine_set,
+                                              pubsub::SetId my_id,
+                                              const SubscriptionSet& other,
+                                              pubsub::SetId other_id) {
+    std::vector<std::uint32_t> positions;
+    if (pubsub::fingerprints_disjoint(mine_set.fingerprint(),
+                                      other.fingerprint())) {
+      return positions;
+    }
+    const bool cacheable = cache_ != nullptr && cache_->enabled() &&
+                           my_id != pubsub::kInvalidSetId &&
+                           other_id != pubsub::kInvalidSetId;
+    bool memoize = false;
+    if (cacheable) {
+      double cached = 0.0;
+      if (cache_->lookup(my_id, other_id, cached)) {
+        if (cached == 0.0) return positions;
+      } else {
+        memoize = true;
+      }
+    }
+    const auto mine = mine_set.topics();
+    const auto theirs = other.topics();
+    std::size_t a = 0;
+    std::size_t b = 0;
+    while (a < mine.size() && b < theirs.size()) {
+      if (mine[a] < theirs[b]) {
+        ++a;
+      } else if (theirs[b] < mine[a]) {
+        ++b;
+      } else {
+        positions.push_back(static_cast<std::uint32_t>(a));
+        ++a;
+        ++b;
+      }
+    }
+    if (memoize) {
+      cache_->insert(my_id, other_id, static_cast<double>(positions.size()));
+    }
+    return positions;
+  }
+
+  std::size_t target_;
+  const pubsub::SubscriptionTable* table_;
+  core::PairUtilityCache* cache_;
+};
+
+void expect_same_entries(std::span<const overlay::RoutingEntry> actual,
+                         const std::vector<overlay::RoutingEntry>& expected,
+                         const std::string& context) {
+  ASSERT_EQ(actual.size(), expected.size()) << context;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].node, expected[i].node) << context << " at " << i;
+    EXPECT_EQ(actual[i].id, expected[i].id) << context << " at " << i;
+    EXPECT_EQ(actual[i].kind, expected[i].kind) << context << " at " << i;
+  }
+}
+
+void expect_same_stats(const core::UtilityCacheStats& actual,
+                       const core::UtilityCacheStats& expected,
+                       const std::string& context) {
+  EXPECT_EQ(actual.hits, expected.hits) << context;
+  EXPECT_EQ(actual.misses, expected.misses) << context;
+  EXPECT_EQ(actual.evictions, expected.evictions) << context;
+  EXPECT_EQ(actual.invalidations, expected.invalidations) << context;
+}
+
+// A randomized selection problem: node 0 holds `own_size` topics; nodes
+// 1..pool draw overlapping sets (a share of node 0's topics plus noise),
+// with some exact repeats so interned ids and memo hits recur.
+struct Problem {
+  pubsub::SubscriptionTable table;
+  std::vector<pubsub::SetId> set_ids;
+  std::vector<gossip::Descriptor> candidates;
+};
+
+Problem make_problem(std::size_t own_size, std::size_t pool,
+                     std::uint64_t seed) {
+  constexpr std::size_t kTopics = 320;
+  sim::Rng rng(seed);
+  std::vector<ids::TopicIndex> universe(kTopics);
+  for (std::size_t t = 0; t < kTopics; ++t) {
+    universe[t] = static_cast<ids::TopicIndex>(t);
+  }
+  std::vector<SubscriptionSet> by_node;
+  std::vector<ids::TopicIndex> mine;
+  for (const std::size_t i : rng.sample_indices(kTopics, own_size)) {
+    mine.push_back(universe[i]);
+  }
+  by_node.emplace_back(mine);
+  for (std::size_t n = 1; n <= pool; ++n) {
+    if (n > 2 && rng.bernoulli(0.2)) {  // repeat an earlier set
+      by_node.push_back(by_node[1 + rng.index(n - 1)]);
+      continue;
+    }
+    std::vector<ids::TopicIndex> topics;
+    const double keep = rng.real01() * 0.3;
+    for (const ids::TopicIndex t : mine) {
+      if (rng.bernoulli(keep)) topics.push_back(t);
+    }
+    const std::size_t noise = rng.index(6);
+    for (std::size_t k = 0; k < noise; ++k) {
+      topics.push_back(universe[rng.index(kTopics)]);
+    }
+    by_node.emplace_back(std::move(topics));
+  }
+  Problem problem;
+  pubsub::SubscriptionRegistry registry;
+  for (const auto& set : by_node) {
+    problem.set_ids.push_back(registry.intern(set));
+  }
+  problem.table = pubsub::SubscriptionTable(std::move(by_node), kTopics);
+  for (std::size_t n = 1; n <= pool; ++n) {
+    const auto node = static_cast<ids::NodeIndex>(n);
+    // A few descriptors carry no snapshot id: never memoized.
+    const pubsub::SetId id =
+        rng.bernoulli(0.1) ? pubsub::kInvalidSetId : problem.set_ids[n];
+    problem.candidates.push_back(
+        gossip::Descriptor{node, ids::node_ring_id(node), 0, 0, id});
+  }
+  // Pool order is not node order.
+  for (std::size_t i = problem.candidates.size(); i > 1; --i) {
+    std::swap(problem.candidates[i - 1], problem.candidates[rng.index(i)]);
+  }
+  return problem;
+}
+
+enum class MemoMode { kDetached, kCold, kAttached };
+
+TEST(CoverageSelector, PositionMasksMatchMergeOracle) {
+  // Own-set sizes straddle the 64-bit mask word boundaries (1-4 words).
+  const std::size_t own_sizes[] = {0, 1, 63, 64, 65, 128, 129, 200};
+  const MemoMode modes[] = {MemoMode::kDetached, MemoMode::kCold,
+                            MemoMode::kAttached};
+  constexpr std::size_t kPool = 24;
+  constexpr std::size_t kSlots = 64;  // small: forces evictions
+  std::uint64_t seed = 7000;
+  for (const std::size_t own : own_sizes) {
+    const Problem problem = make_problem(own, kPool, ++seed);
+    const SubscriptionSet& my_subs = problem.table.of(0);
+    ASSERT_EQ(my_subs.size(), own);
+    for (std::size_t target = 1; target <= 3; ++target) {
+      for (const MemoMode mode : modes) {
+        core::PairUtilityCache fast_cache(kSlots);
+        core::PairUtilityCache oracle_cache(kSlots);
+        const bool attach = mode != MemoMode::kDetached;
+        CoverageSelector selector(target, problem.table);
+        MergeSelector oracle(target, problem.table,
+                             attach ? &oracle_cache : nullptr);
+        if (attach) selector.set_cache(&fast_cache);
+        sim::Rng rng(seed * 31 + target);
+        for (std::size_t capacity = 1; capacity <= kPool + 1; ++capacity) {
+          if (mode == MemoMode::kCold) {
+            fast_cache.reset(kSlots);
+            oracle_cache.reset(kSlots);
+          }
+          const std::string context =
+              "own=" + std::to_string(own) + " target=" +
+              std::to_string(target) + " mode=" +
+              std::to_string(static_cast<int>(mode)) +
+              " capacity=" + std::to_string(capacity);
+          // Candidate pools of varying length, some with my id unknown.
+          const std::size_t length = 1 + rng.index(kPool);
+          const std::span<const gossip::Descriptor> pool(
+              problem.candidates.data(), length);
+          const pubsub::SetId my_id = rng.bernoulli(0.2)
+                                          ? pubsub::kInvalidSetId
+                                          : problem.set_ids[0];
+
+          expect_same_entries(
+              selector.select_bounded(my_subs, pool, capacity, my_id),
+              oracle.select_bounded(my_subs, pool, capacity, my_id),
+              "bounded " + context);
+          expect_same_stats(fast_cache.stats(), oracle_cache.stats(),
+                            "bounded " + context);
+
+          // Additional selection over a partly linked table with random
+          // prior coverage.
+          overlay::RoutingTable current(kPool + 1);
+          for (const auto& d : pool) {
+            if (rng.bernoulli(0.3)) {
+              (void)current.add(overlay::RoutingEntry{
+                  d.node, d.id, overlay::LinkKind::kCoverage, 0});
+            }
+          }
+          std::vector<std::uint8_t> fast_coverage(own);
+          for (auto& c : fast_coverage) {
+            c = static_cast<std::uint8_t>(rng.index(target + 2));
+          }
+          std::vector<std::uint8_t> oracle_coverage = fast_coverage;
+          expect_same_entries(
+              selector.select_additional(my_subs, pool, current,
+                                         fast_coverage, my_id),
+              oracle.select_additional(my_subs, pool, current,
+                                       oracle_coverage, my_id),
+              "additional " + context);
+          EXPECT_EQ(fast_coverage, oracle_coverage) << "additional " << context;
+          expect_same_stats(fast_cache.stats(), oracle_cache.stats(),
+                            "additional " + context);
+        }
+      }
+    }
+  }
+}
+
+TEST(CoverageSelector, CountCoverageMatchesLinkedTopics) {
+  const auto table = tiny_table();
+  CoverageSelector selector(2, table);
+  overlay::RoutingTable rt(4);
+  (void)rt.add(overlay::RoutingEntry{1, 100, overlay::LinkKind::kCoverage, 0});
+  (void)rt.add(overlay::RoutingEntry{2, 200, overlay::LinkKind::kCoverage, 0});
+  (void)rt.add(overlay::RoutingEntry{4, 400, overlay::LinkKind::kCoverage, 0});
+  std::vector<std::uint8_t> coverage{9, 9};
+  selector.count_coverage(table.of(0), rt, coverage);  // node 0: {0, 1}
+  EXPECT_EQ(coverage, (std::vector<std::uint8_t>{1, 2}));
+  (void)rt.remove(1);
+  selector.count_coverage(table.of(0), rt, coverage);
+  EXPECT_EQ(coverage, (std::vector<std::uint8_t>{0, 1}));
 }
 
 workload::SyntheticScenario scenario_for(std::uint64_t seed) {
@@ -184,6 +507,57 @@ TEST(OptSystem, ChurnHooksResetCoverage) {
   system.node_join(3);
   system.run_cycles(10);
   EXPECT_GT(system.degree(3), 0u);  // re-acquires coverage links
+}
+
+// Unbounded OPT must replace a lost link: topic 0 has three subscribers
+// (nodes 0, 1, 2), so with coverage target 1 node 0 links to exactly one
+// of nodes 1 and 2. Once that link goes away (the partner leaves or
+// crashes, and T-Man or heartbeat staleness drops it), node 0 must
+// re-cover topic 0 with the remaining subscriber instead of counting the
+// lost link forever.
+void expect_lost_cover_replaced(bool crash) {
+  std::vector<SubscriptionSet> by_node;
+  by_node.emplace_back(std::vector<ids::TopicIndex>{0});
+  by_node.emplace_back(std::vector<ids::TopicIndex>{0, 1});
+  by_node.emplace_back(std::vector<ids::TopicIndex>{0, 1});
+  for (int n = 3; n < 24; ++n) {
+    by_node.emplace_back(std::vector<ids::TopicIndex>{1});
+  }
+  const pubsub::SubscriptionTable table(std::move(by_node), 2);
+  OptConfig config;
+  config.unbounded = true;
+  config.coverage_target = 1;
+  OptSystem system(config, table, 61);
+
+  const auto cover_of_topic0 = [&]() {
+    ids::NodeIndex cover = ids::kInvalidNode;
+    for (const auto& e : system.routing_table(0).entries()) {
+      if (table.subscribes(e.node, 0) && system.is_alive(e.node)) {
+        EXPECT_EQ(cover, ids::kInvalidNode) << "target 1 needs one link";
+        cover = e.node;
+      }
+    }
+    return cover;
+  };
+  system.run_cycles(20);
+  const ids::NodeIndex lost = cover_of_topic0();
+  ASSERT_NE(lost, ids::kInvalidNode);
+  if (crash) {
+    system.node_crash(lost);
+  } else {
+    system.node_leave(lost);
+  }
+  system.run_cycles(30);
+  EXPECT_FALSE(system.routing_table(0).contains(lost));
+  EXPECT_EQ(cover_of_topic0(), lost == 1 ? 2u : 1u);
+}
+
+TEST(OptSystem, UnboundedReplacesCoverOfLeftNode) {
+  expect_lost_cover_replaced(/*crash=*/false);
+}
+
+TEST(OptSystem, UnboundedReplacesCoverOfCrashedNode) {
+  expect_lost_cover_replaced(/*crash=*/true);
 }
 
 }  // namespace
