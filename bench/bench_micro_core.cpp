@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot paths: Eq. 1 utility
 // evaluation, subscription-set intersection, greedy lookup, a full gossip
-// cycle, gateway election, and event dissemination.
+// cycle, gateway election, and event dissemination on all three systems.
 //
 // The main() accepts (and ignores) the common bench flags so harness
 // scripts can pass --scale/--jobs uniformly to every binary; timings land
@@ -319,6 +319,52 @@ void BM_PublishDissemination(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PublishDissemination);
+
+// One publication on each system in the shape of the flood-random
+// benchmark workload: 600 nodes, 300 topics, 50 random subscriptions each,
+// uniform rates, 15 warm-up cycles, then the workload's 4,000-publication
+// schedule replayed in order. Time per iteration × 4,000 should match the
+// delivery phase of one flood-random round for that system.
+template <typename Make>
+void publish_flood_random(benchmark::State& state, Make make) {
+  workload::SyntheticScenarioParams params;
+  params.subscriptions.nodes = 600;
+  params.subscriptions.topics = 300;
+  params.subscriptions.subs_per_node = 50;
+  params.subscriptions.pattern = workload::CorrelationPattern::kRandom;
+  params.events = 4'000;
+  params.seed = 42;
+  const auto scenario = workload::make_synthetic_scenario(params);
+  auto system = make(scenario);
+  system->run_cycles(15);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [topic, publisher] =
+        scenario.schedule[i++ % scenario.schedule.size()];
+    benchmark::DoNotOptimize(system->publish(topic, publisher));
+  }
+}
+
+void BM_VitisPublish(benchmark::State& state) {
+  publish_flood_random(state, [](const workload::SyntheticScenario& sc) {
+    return workload::make_vitis(sc, core::VitisConfig{}, 42);
+  });
+}
+BENCHMARK(BM_VitisPublish);
+
+void BM_RvrPublish(benchmark::State& state) {
+  publish_flood_random(state, [](const workload::SyntheticScenario& sc) {
+    return workload::make_rvr(sc, baselines::rvr::RvrConfig{}, 42);
+  });
+}
+BENCHMARK(BM_RvrPublish);
+
+void BM_OptPublish(benchmark::State& state) {
+  publish_flood_random(state, [](const workload::SyntheticScenario& sc) {
+    return workload::make_opt(sc, baselines::opt::OptConfig{}, 42);
+  });
+}
+BENCHMARK(BM_OptPublish);
 
 void BM_RvrGossipCycle(benchmark::State& state) {
   const auto scenario = SystemHarness::make_scenario(

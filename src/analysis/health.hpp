@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -48,17 +49,16 @@ namespace vitis::analysis {
 
 // --- gauge helpers -----------------------------------------------------------
 
-/// Mean and max heartbeat age over the routing entries of alive nodes
-/// (both 0 when no alive node holds an entry).
-template <typename AliveFn, typename TableFn>
-void view_ages(std::size_t node_count, AliveFn&& is_alive, TableFn&& table_of,
+/// Mean and max heartbeat age over the routing entries of the alive nodes
+/// `alive` (the engine's activation list; both 0 when no alive node holds
+/// an entry).
+template <typename TableFn>
+void view_ages(std::span<const ids::NodeIndex> alive, TableFn&& table_of,
                double& mean_age, double& max_age) {
   std::uint64_t sum = 0;
   std::uint64_t entries = 0;
   std::uint32_t worst = 0;
-  for (std::size_t i = 0; i < node_count; ++i) {
-    const auto node = static_cast<ids::NodeIndex>(i);
-    if (!is_alive(node)) continue;
+  for (const ids::NodeIndex node : alive) {
     for (const overlay::RoutingEntry& entry : table_of(node).entries()) {
       sum += entry.age;
       worst = std::max(worst, entry.age);
@@ -95,26 +95,33 @@ class HealthAnalyzer {
     const std::size_t topic_count = subscriptions.topic_count();
     for (std::size_t t = 0; t < topic_count; ++t) {
       const auto topic = static_cast<ids::TopicIndex>(t);
-      if (++epoch_ == 0) {
+      // Two stamps per topic: `epoch_` marks a subscriber not yet reached,
+      // `epoch_ + 1` one the BFS reached, so the per-edge membership test
+      // is one compare instead of a subscription-set search.
+      if (epoch_ > std::numeric_limits<std::uint32_t>::max() - 3) {
         std::fill(stamp_.begin(), stamp_.end(), 0U);
-        epoch_ = 1;
+        epoch_ = 0;
       }
+      epoch_ += 2;
+      const std::uint32_t member = epoch_;
+      const std::uint32_t reached = epoch_ + 1;
+      const auto subscribers = subscriptions.subscribers(topic);
+      for (const ids::NodeIndex s : subscribers) stamp_[s] = member;
       std::size_t clusters = 0;
       bool any_alive = false;
-      for (const ids::NodeIndex s : subscriptions.subscribers(topic)) {
+      for (const ids::NodeIndex s : subscribers) {
         if (!is_alive(s)) continue;
         any_alive = true;
-        if (stamp_[s] == epoch_) continue;
+        if (stamp_[s] == reached) continue;
         ++clusters;
-        stamp_[s] = epoch_;
+        stamp_[s] = reached;
         queue_.clear();
         queue_.push_back(s);
         for (std::size_t head = 0; head < queue_.size(); ++head) {
           for (const ids::NodeIndex nb : adjacency[queue_[head]]) {
-            if (stamp_[nb] == epoch_) continue;
-            if (!subscriptions.subscribes(nb, topic)) continue;
+            if (stamp_[nb] != member) continue;
             if (!is_alive(nb)) continue;
-            stamp_[nb] = epoch_;
+            stamp_[nb] = reached;
             queue_.push_back(nb);
           }
         }
@@ -163,7 +170,7 @@ class HealthAnalyzer {
 
  private:
   std::vector<ids::RingId> ring_ids_;
-  std::vector<std::uint32_t> stamp_;       // per-node BFS epoch stamps
+  std::vector<std::uint32_t> stamp_;       // per-node topic/BFS stamps
   std::vector<ids::NodeIndex> queue_;      // BFS frontier
   std::vector<ids::NodeIndex> ring_order_; // alive nodes in ring order
   std::uint32_t epoch_ = 0;

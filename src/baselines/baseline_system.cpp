@@ -51,8 +51,7 @@ BaselineSystem::BaselineSystem(BaselineConfig config,
   }
   join_cycle_.assign(n, 0);
   undirected_.resize(n);
-  visit_stamp_.assign(n, 0);
-  expected_stamp_.assign(n, 0);
+  stamps_ = pubsub::PublicationStamps(n);
 
   // Baseline subscription sets are static, so one interning pass suffices;
   // fresh descriptors snapshot the canonical id (no fingerprint function —
@@ -236,6 +235,11 @@ void BaselineSystem::rebuild_undirected() {
 
 overlay::LookupResult BaselineSystem::lookup(ids::NodeIndex origin,
                                              ids::RingId target) const {
+  return lookup_cached(origin, target);  // copy out of the member buffer
+}
+
+const overlay::LookupResult& BaselineSystem::lookup_cached(
+    ids::NodeIndex origin, ids::RingId target) const {
   const support::ScopedPhase phase(&profiler_, support::Phase::kRouting);
   const overlay::NeighborFn neighbors =
       [this](ids::NodeIndex node) -> std::span<const overlay::RoutingEntry> {
@@ -245,9 +249,10 @@ overlay::LookupResult BaselineSystem::lookup(ids::NodeIndex origin,
     }
     return lookup_scratch_;
   };
-  return overlay::greedy_lookup(
+  overlay::greedy_lookup_into(
       neighbors, [this](ids::NodeIndex n) { return ring_ids_[n]; }, origin,
-      target, config_.lookup_hop_budget);
+      target, config_.lookup_hop_budget, lookup_result_);
+  return lookup_result_;
 }
 
 analysis::Graph BaselineSystem::overlay_snapshot() const {
@@ -274,9 +279,7 @@ std::size_t BaselineSystem::memory_footprint() const {
          sampling_->memory_bytes() +
          undirected_.size() * sizeof(std::vector<ids::NodeIndex>) +
          adjacency_links * sizeof(ids::NodeIndex) +
-         (visit_stamp_.size() + expected_stamp_.size()) *
-             sizeof(std::uint32_t) +
-         extra_memory_bytes();
+         stamps_.memory_bytes() + extra_memory_bytes();
 }
 
 BaselineSystem::PublishContext BaselineSystem::start_publish(
@@ -284,14 +287,7 @@ BaselineSystem::PublishContext BaselineSystem::start_publish(
   VITIS_CHECK(topic < subscriptions_.topic_count());
   VITIS_CHECK(engine_.is_alive(publisher));
 
-  if (++current_stamp_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    std::fill(expected_stamp_.begin(), expected_stamp_.end(), 0);
-    current_stamp_ = 1;
-  }
-
   PublishContext ctx;
-  ctx.stamp = current_stamp_;
   ctx.report.topic = topic;
   ctx.report.publisher = publisher;
   // Trace sampling from the dedicated stream only; an untraced run and a
@@ -300,26 +296,23 @@ BaselineSystem::PublishContext BaselineSystem::start_publish(
                trace_rng_.bernoulli(recorder_.config().trace_rate);
   if (ctx.traced) recorder_.begin_trace(publish_count_, topic, publisher);
   ++publish_count_;
-  for (const ids::NodeIndex s : subscriptions_.subscribers(topic)) {
-    if (s == publisher || !engine_.is_alive(s)) continue;
-    if (join_cycle_[s] + config_.join_grace_cycles > engine_.cycle()) continue;
-    expected_stamp_[s] = ctx.stamp;
-    ++ctx.report.expected;
-  }
-  visit_stamp_[publisher] = ctx.stamp;
+  ctx.report.expected = stamps_.begin(
+      subscriptions_.subscribers(topic), publisher, [this](ids::NodeIndex s) {
+        return engine_.is_alive(s) &&
+               join_cycle_[s] + config_.join_grace_cycles <= engine_.cycle();
+      });
   return ctx;
 }
 
 bool BaselineSystem::transmit(PublishContext& ctx, ids::NodeIndex from,
                               ids::NodeIndex to, std::uint32_t hop,
                               bool route) {
-  const bool interested = subscriptions_.subscribes(to, ctx.report.topic);
+  const bool interested = stamps_.interested(to);
   metrics_.on_message(to, interested);
   ++ctx.report.messages;
   if (ctx.traced) recorder_.add_hop(from, to, hop, interested, route);
-  if (visit_stamp_[to] == ctx.stamp) return false;
-  visit_stamp_[to] = ctx.stamp;
-  if (expected_stamp_[to] == ctx.stamp) {
+  if (!stamps_.visit(to)) return false;
+  if (stamps_.expected(to)) {
     ++ctx.report.delivered;
     ctx.report.delay_sum += hop;
     ctx.report.max_delay = std::max<std::size_t>(ctx.report.max_delay, hop);
@@ -371,7 +364,7 @@ void BaselineSystem::observe_sample() {
         static_cast<double>(relay_link_count());
     slot(support::Gauge::kRingConsistency) =
         health_.ring_consistency(is_alive, table_of);
-    analysis::view_ages(tables_.size(), is_alive, table_of,
+    analysis::view_ages(engine_.active_nodes(), table_of,
                         slot(support::Gauge::kMeanViewAge),
                         slot(support::Gauge::kMaxViewAge));
     recorder_.window_gauges(

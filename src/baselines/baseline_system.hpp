@@ -21,6 +21,7 @@
 #include "gossip/tman.hpp"
 #include "overlay/greedy_routing.hpp"
 #include "overlay/routing_table.hpp"
+#include "pubsub/publication_stamps.hpp"
 #include "pubsub/subscription_registry.hpp"
 #include "pubsub/system.hpp"
 #include "sim/cycle_engine.hpp"
@@ -178,12 +179,12 @@ class BaselineSystem : public pubsub::PubSubSystem {
   // --- dissemination helpers ----------------------------------------------
   struct PublishContext {
     pubsub::DisseminationReport report;
-    std::uint32_t stamp = 0;
     bool traced = false;  // this publication records a route trace
   };
 
-  /// Stamp the expected-subscriber set and visit the publisher; decides
-  /// (from the trace RNG stream) whether this publication is traced.
+  /// Stamp the topic's interested and expected subscribers and visit the
+  /// publisher; decides (from the trace RNG stream) whether this
+  /// publication is traced.
   [[nodiscard]] PublishContext start_publish(ids::TopicIndex topic,
                                              ids::NodeIndex publisher);
 
@@ -193,12 +194,25 @@ class BaselineSystem : public pubsub::PubSubSystem {
   bool transmit(PublishContext& ctx, ids::NodeIndex from, ids::NodeIndex to,
                 std::uint32_t hop, bool route = false);
 
+  /// Allocation-free lookup into a member result buffer; the reference is
+  /// valid until the next lookup. Used by RVR's publish path.
+  const overlay::LookupResult& lookup_cached(ids::NodeIndex origin,
+                                             ids::RingId target) const;
+
   /// Close the publication: finalize an open trace, record the report.
   void finish_publish(PublishContext& ctx);
 
-  [[nodiscard]] bool visited(const PublishContext& ctx,
-                             ids::NodeIndex node) const {
-    return visit_stamp_[node] == ctx.stamp;
+  /// subscribes(node, topic) for the open publication's topic, in O(1).
+  [[nodiscard]] bool interested(const PublishContext& ctx,
+                                ids::NodeIndex node) const {
+    (void)ctx;
+    return stamps_.interested(node);
+  }
+
+  /// The walk's frontier buffer, kept across publications so publishing
+  /// is allocation-free at steady state; callers clear it first.
+  [[nodiscard]] std::vector<pubsub::WalkItem>& walk_queue() {
+    return walk_queue_;
   }
 
   /// Sorted alive undirected neighbors, rebuilt once per cycle.
@@ -288,9 +302,9 @@ class BaselineSystem : public pubsub::PubSubSystem {
   std::vector<std::vector<ids::NodeIndex>> undirected_;
   std::vector<ids::NodeIndex> undirected_touched_;
   mutable std::vector<overlay::RoutingEntry> lookup_scratch_;
-  std::vector<std::uint32_t> visit_stamp_;
-  std::vector<std::uint32_t> expected_stamp_;
-  std::uint32_t current_stamp_ = 0;
+  mutable overlay::LookupResult lookup_result_;  // lookup_cached() buffer
+  pubsub::PublicationStamps stamps_;
+  std::vector<pubsub::WalkItem> walk_queue_;
 };
 
 }  // namespace vitis::baselines

@@ -5,15 +5,6 @@
 #include "support/check.hpp"
 
 namespace vitis::baselines::opt {
-namespace {
-
-struct FloodItem {
-  ids::NodeIndex node;
-  ids::NodeIndex from;
-  std::uint32_t hop;
-};
-
-}  // namespace
 
 BaselineConfig OptSystem::effective_base(const OptConfig& config) {
   BaselineConfig base = config.base;
@@ -95,20 +86,20 @@ pubsub::DisseminationReport OptSystem::publish(ids::TopicIndex topic,
   // Pure per-topic flooding: only links between subscribers carry the
   // event; there is no relay mechanism (hence zero traffic overhead but no
   // connectivity guarantee).
-  std::vector<FloodItem> queue;
-  queue.reserve(64);
-  queue.push_back(FloodItem{publisher, ids::kInvalidNode, 0});
+  std::vector<pubsub::WalkItem>& queue = walk_queue();
+  queue.clear();
+  queue.push_back(pubsub::WalkItem{publisher, ids::kInvalidNode, 0});
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const FloodItem item = queue[head];
+    const pubsub::WalkItem item = queue[head];
     for (const ids::NodeIndex y : undirected(item.node)) {
       if (y == item.from) continue;
-      if (!subscriptions().subscribes(y, topic)) continue;
+      if (!interested(ctx, y)) continue;
       if (fault_active() &&
           !fault_deliver(item.node, y, sim::MessageKind::kPublication)) {
         continue;
       }
       if (transmit(ctx, item.node, y, item.hop + 1)) {
-        queue.push_back(FloodItem{y, item.node, item.hop + 1});
+        queue.push_back(pubsub::WalkItem{y, item.node, item.hop + 1});
       }
     }
   }

@@ -7,15 +7,6 @@
 #include "support/check.hpp"
 
 namespace vitis::baselines::rvr {
-namespace {
-
-struct TreeItem {
-  ids::NodeIndex node;
-  ids::NodeIndex from;
-  std::uint32_t hop;
-};
-
-}  // namespace
 
 RvrSystem::RvrSystem(RvrConfig config, pubsub::SubscriptionTable subscriptions,
                      std::uint64_t seed, bool start_online)
@@ -111,15 +102,16 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
   PublishContext ctx = start_publish(topic, publisher);
 
   // Scribe publish: route the event to the rendezvous node...
-  const auto route = lookup(publisher, ids::topic_ring_id(topic));
+  const overlay::LookupResult& route =
+      lookup_cached(publisher, ids::topic_ring_id(topic));
   // RVR's analogue of Vitis' relay-path channel: the greedy rendezvous
   // route length per publication (serial publish path, lane 0).
   if (route.path.size() >= 2) {
     histograms_mut().record(support::Channel::kRelayPathLength,
                             route.path.size() - 1);
   }
-  std::vector<TreeItem> queue;
-  queue.reserve(64);
+  std::vector<pubsub::WalkItem>& queue = walk_queue();
+  queue.clear();
   for (std::size_t i = 1; i < route.path.size(); ++i) {
     // A dropped route hop kills the rest of the path: admission happens
     // before transmit so the lost message is never counted.
@@ -132,19 +124,20 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
                  static_cast<std::uint32_t>(i), /*route=*/true)) {
       // Route nodes that are also tree members may disseminate early (they
       // hold tree links); harmless and closer to real Scribe behavior.
-      queue.push_back(TreeItem{route.path[i], route.path[i - 1],
-                               static_cast<std::uint32_t>(i)});
+      queue.push_back(pubsub::WalkItem{route.path[i], route.path[i - 1],
+                                       static_cast<std::uint32_t>(i)});
     }
   }
   if (queue.empty()) {
     // Publisher is itself the rendezvous node (or routing stalled there).
-    queue.push_back(TreeItem{route.owner, ids::kInvalidNode,
-                             static_cast<std::uint32_t>(route.hops())});
+    queue.push_back(
+        pubsub::WalkItem{route.owner, ids::kInvalidNode,
+                         static_cast<std::uint32_t>(route.hops())});
   }
 
   // ...then flood the multicast tree from the root outward.
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const TreeItem item = queue[head];
+    const pubsub::WalkItem item = queue[head];
     for (const auto& link : trees_[item.node].links(topic)) {
       const ids::NodeIndex y = link.peer;
       if (y == item.from || !is_alive(y)) continue;
@@ -153,7 +146,7 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
         continue;
       }
       if (transmit(ctx, item.node, y, item.hop + 1)) {
-        queue.push_back(TreeItem{y, item.node, item.hop + 1});
+        queue.push_back(pubsub::WalkItem{y, item.node, item.hop + 1});
       }
     }
   }

@@ -123,8 +123,7 @@ VitisSystem::VitisSystem(VitisConfig config,
   lookup_ctx_.resize(workers);
 
   undirected_.resize(n);
-  visit_stamp_.assign(n, 0);
-  expected_stamp_.assign(n, 0);
+  stamps_ = pubsub::PublicationStamps(n);
   topic_stamp_.assign(subscriptions_.topic_count(), 0);
   topic_pos_.assign(subscriptions_.topic_count(), 0);
   select_buffer_.reserve(64);
@@ -621,7 +620,7 @@ void VitisSystem::observe_sample() {
     slot(support::Gauge::kRelayLinks) = static_cast<double>(relay_links);
     slot(support::Gauge::kRingConsistency) =
         health_.ring_consistency(is_alive, table_of);
-    analysis::view_ages(arena_.size(), is_alive, table_of,
+    analysis::view_ages(engine_.active_nodes(), table_of,
                         slot(support::Gauge::kMeanViewAge),
                         slot(support::Gauge::kMaxViewAge));
     recorder_.window_gauges(
@@ -661,6 +660,17 @@ void VitisSystem::check_invariants() const {
 // ---------------------------------------------------------------------------
 // Event dissemination (§III-C).
 // ---------------------------------------------------------------------------
+std::size_t VitisSystem::begin_stamps(ids::TopicIndex topic,
+                                      ids::NodeIndex publisher) {
+  // Freshly joined subscribers are not yet expected to receive events.
+  return stamps_.begin(
+      subscriptions_.subscribers(topic), publisher, [this](ids::NodeIndex s) {
+        return engine_.is_alive(s) &&
+               arena_.join_cycle(s) + config_.join_grace_cycles <=
+                   engine_.cycle();
+      });
+}
+
 pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
                                                  ids::NodeIndex publisher) {
   const support::ScopedPhase phase(&profiler_, support::Phase::kDelivery);
@@ -678,62 +688,44 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
   if (traced) recorder_.begin_trace(publish_count_, topic, publisher);
   ++publish_count_;
 
-  // Fresh visit/expected stamps; on wrap-around reset the arrays once.
-  if (++current_stamp_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    std::fill(expected_stamp_.begin(), expected_stamp_.end(), 0);
-    current_stamp_ = 1;
-  }
-  const std::uint32_t stamp = current_stamp_;
+  report.expected = begin_stamps(topic, publisher);
 
-  for (const ids::NodeIndex s : subscriptions_.subscribers(topic)) {
-    if (s == publisher || !engine_.is_alive(s)) continue;
-    if (arena_.join_cycle(s) + config_.join_grace_cycles > engine_.cycle()) {
-      continue;  // freshly joined: not yet expected to receive events
-    }
-    expected_stamp_[s] = stamp;
-    ++report.expected;
-  }
-
-  std::vector<FloodItem>& queue = flood_queue_;
+  std::vector<pubsub::WalkItem>& queue = flood_queue_;
   queue.clear();
-  visit_stamp_[publisher] = stamp;
-  queue.push_back(FloodItem{publisher, ids::kInvalidNode, 0});
+  queue.push_back(pubsub::WalkItem{publisher, ids::kInvalidNode, 0});
 
   // A publisher outside any cluster of the topic (not subscribed, not a
   // relay) hands the event to the rendezvous node by greedy routing first.
-  if (!subscriptions_.subscribes(publisher, topic) &&
+  if (!stamps_.interested(publisher) &&
       !arena_.relay(publisher).is_relay_for(topic)) {
     const ids::RingId target = ids::topic_ring_id(topic);
-    auto route = lookup(publisher, target);
+    // The route lives in lookup_result_, which only the detour re-lookup
+    // below overwrites (restarting the descent at i = 1).
+    const overlay::LookupResult* route = &lookup_cached(publisher, target);
     std::uint32_t hop = 0;
     std::uint32_t fallbacks_left =
         fault_.active() ? config_.route_fallback_limit : 0;
     const auto deliver_route_hop = [&](ids::NodeIndex from,
                                        ids::NodeIndex to) {
-      metrics_.on_message(to, subscriptions_.subscribes(to, topic));
+      const bool interested = stamps_.interested(to);
+      metrics_.on_message(to, interested);
       ++report.messages;
-      if (traced) {
-        recorder_.add_hop(from, to, hop,
-                          subscriptions_.subscribes(to, topic),
-                          /*route=*/true);
-      }
-      if (visit_stamp_[to] != stamp) {
-        visit_stamp_[to] = stamp;
-        if (expected_stamp_[to] == stamp) {
+      if (traced) recorder_.add_hop(from, to, hop, interested, /*route=*/true);
+      if (stamps_.visit(to)) {
+        if (stamps_.expected(to)) {
           ++report.delivered;
           report.delay_sum += hop;
           report.max_delay = std::max<std::size_t>(report.max_delay, hop);
           metrics_.on_delivery(hop);
         }
-        queue.push_back(FloodItem{to, from, hop});
+        queue.push_back(pubsub::WalkItem{to, from, hop});
       }
     };
     std::size_t i = 1;
-    while (i < route.path.size()) {
-      const ids::NodeIndex from = route.path[i - 1];
+    while (i < route->path.size()) {
+      const ids::NodeIndex from = route->path[i - 1];
       if (fault_.active() &&
-          !fault_.deliver(from, route.path[i],
+          !fault_.deliver(from, route->path[i],
                           sim::MessageKind::kPublication)) {
         // The greedy hop is lost. With the fallback knob the sender
         // detects the hop timeout and hands the event to its ring
@@ -750,11 +742,11 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
         }
         hop += 1 + fault_.hop_penalty(from, detour);
         deliver_route_hop(from, detour);
-        route = lookup(detour, target);
+        route = &lookup_cached(detour, target);
         i = 1;
         continue;
       }
-      const ids::NodeIndex to = route.path[i];
+      const ids::NodeIndex to = route->path[i];
       hop += 1 + (fault_.active() ? fault_.hop_penalty(from, to) : 0);
       deliver_route_hop(from, to);
       ++i;
@@ -763,11 +755,11 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
 
   std::vector<ids::NodeIndex>& targets = targets_;
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const FloodItem item = queue[head];
+    const pubsub::WalkItem item = queue[head];
 
     targets.clear();
     for (const ids::NodeIndex y : undirected_[item.node]) {
-      if (subscriptions_.subscribes(y, topic)) targets.push_back(y);
+      if (stamps_.interested(y)) targets.push_back(y);
     }
     for (const auto& link : arena_.relay(item.node).links(topic)) {
       if (engine_.is_alive(link.peer)) targets.push_back(link.peer);
@@ -790,22 +782,20 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
       const std::uint32_t hop =
           item.hop + 1 +
           (fault_.active() ? fault_.hop_penalty(item.node, y) : 0);
-      metrics_.on_message(y, subscriptions_.subscribes(y, topic));
+      const bool interested = stamps_.interested(y);
+      metrics_.on_message(y, interested);
       ++report.messages;
       if (traced) {
-        recorder_.add_hop(item.node, y, hop,
-                          subscriptions_.subscribes(y, topic),
-                          /*route=*/false);
+        recorder_.add_hop(item.node, y, hop, interested, /*route=*/false);
       }
-      if (visit_stamp_[y] == stamp) continue;
-      visit_stamp_[y] = stamp;
-      if (expected_stamp_[y] == stamp) {
+      if (!stamps_.visit(y)) continue;
+      if (stamps_.expected(y)) {
         ++report.delivered;
         report.delay_sum += hop;
         report.max_delay = std::max<std::size_t>(report.max_delay, hop);
         metrics_.on_delivery(hop);
       }
-      queue.push_back(FloodItem{y, item.node, hop});
+      queue.push_back(pubsub::WalkItem{y, item.node, hop});
     }
   }
 
@@ -872,20 +862,7 @@ TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
   report.topic = topic;
   report.publisher = publisher;
 
-  if (++current_stamp_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    std::fill(expected_stamp_.begin(), expected_stamp_.end(), 0);
-    current_stamp_ = 1;
-  }
-  const std::uint32_t stamp = current_stamp_;
-  for (const ids::NodeIndex s : subscriptions_.subscribers(topic)) {
-    if (s == publisher || !engine_.is_alive(s)) continue;
-    if (arena_.join_cycle(s) + config_.join_grace_cycles > engine_.cycle()) {
-      continue;
-    }
-    expected_stamp_[s] = stamp;
-    ++report.expected;
-  }
+  report.expected = begin_stamps(topic, publisher);
 
   const auto link_latency = [this](ids::NodeIndex a, ids::NodeIndex b) {
     return coordinates_.empty()
@@ -899,7 +876,6 @@ TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
     std::uint32_t hop;
   };
   sim::EventQueue<Arrival> queue;
-  visit_stamp_[publisher] = stamp;
 
   // Forward from a node that just (first-)received the event at `now`.
   std::vector<ids::NodeIndex>& targets = targets_;
@@ -907,7 +883,7 @@ TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
                                 std::uint32_t hop, double now) {
     targets.clear();
     for (const ids::NodeIndex y : undirected_[x]) {
-      if (subscriptions_.subscribes(y, topic)) targets.push_back(y);
+      if (stamps_.interested(y)) targets.push_back(y);
     }
     for (const auto& link : arena_.relay(x).links(topic)) {
       if (engine_.is_alive(link.peer)) targets.push_back(link.peer);
@@ -929,9 +905,10 @@ TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
   };
 
   // Non-subscriber publishers hand the event toward the rendezvous first.
-  if (!subscriptions_.subscribes(publisher, topic) &&
+  if (!stamps_.interested(publisher) &&
       !arena_.relay(publisher).is_relay_for(topic)) {
-    const auto route = lookup(publisher, ids::topic_ring_id(topic));
+    const overlay::LookupResult& route =
+        lookup_cached(publisher, ids::topic_ring_id(topic));
     double t = 0.0;
     for (std::size_t i = 1; i < route.path.size(); ++i) {
       // Admission only in the timed model: a dropped hop severs the route
@@ -951,12 +928,10 @@ TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
   while (!queue.empty()) {
     const auto event = queue.pop();
     const Arrival& arrival = event.payload;
-    metrics_.on_message(arrival.to,
-                        subscriptions_.subscribes(arrival.to, topic));
+    metrics_.on_message(arrival.to, stamps_.interested(arrival.to));
     ++report.messages;
-    if (visit_stamp_[arrival.to] == stamp) continue;  // duplicate arrival
-    visit_stamp_[arrival.to] = stamp;
-    if (expected_stamp_[arrival.to] == stamp) {
+    if (!stamps_.visit(arrival.to)) continue;  // duplicate arrival
+    if (stamps_.expected(arrival.to)) {
       ++report.delivered;
       report.delay_sum += arrival.hop;
       report.max_delay = std::max<std::size_t>(report.max_delay, arrival.hop);
@@ -1085,9 +1060,7 @@ std::size_t VitisSystem::memory_footprint() const {
   return arena_.memory_bytes() + sampling_->memory_bytes() +
          undirected_.size() * sizeof(std::vector<ids::NodeIndex>) +
          adjacency_links * sizeof(ids::NodeIndex) +
-         (visit_stamp_.size() + expected_stamp_.size()) *
-             sizeof(std::uint32_t) +
-         topic_stamp_.size() * sizeof(std::uint32_t) +
+         stamps_.memory_bytes() + topic_stamp_.size() * sizeof(std::uint32_t) +
          topic_pos_.size() * sizeof(std::size_t);
 }
 

@@ -31,6 +31,7 @@
 #include "gossip/sampling_service.hpp"
 #include "gossip/tman.hpp"
 #include "overlay/greedy_routing.hpp"
+#include "pubsub/publication_stamps.hpp"
 #include "pubsub/system.hpp"
 #include "sim/coordinates.hpp"
 #include "sim/cycle_engine.hpp"
@@ -280,6 +281,10 @@ class VitisSystem final : public pubsub::PubSubSystem {
   [[nodiscard]] std::vector<ids::NodeIndex> random_alive_contacts(
       std::size_t count, ids::NodeIndex exclude);
 
+  /// Open a publication's stamps (publish and publish_timed); returns the
+  /// expected-subscriber count.
+  std::size_t begin_stamps(ids::TopicIndex topic, ids::NodeIndex publisher);
+
   VitisConfig config_;
   pubsub::SubscriptionTable subscriptions_;
   pubsub::SubscriptionRegistry registry_;  // hash-consed subscription sets
@@ -335,13 +340,6 @@ class VitisSystem final : public pubsub::PubSubSystem {
   // because distributions() re-derives the node-message channel on read.
   mutable support::HistogramSet histograms_;
 
-  /// Transmission queue item of the dissemination BFS.
-  struct FloodItem {
-    ids::NodeIndex node;
-    ids::NodeIndex from;
-    std::uint32_t hop;
-  };
-
   // Relay refresh: the election sweep appends the elected self-gateways'
   // requests — ascending (gateway, topic) by construction — and the
   // relay-refresh stage binary-searches its node's slice, emitting link
@@ -371,9 +369,6 @@ class VitisSystem final : public pubsub::PubSubSystem {
   mutable std::vector<overlay::RoutingEntry> lookup_scratch_;
   mutable overlay::LookupResult lookup_result_;  // lookup_cached() buffer
   std::vector<std::vector<NeighborProposal>> election_scratch_;
-  mutable std::vector<std::uint32_t> visit_stamp_;
-  mutable std::vector<std::uint32_t> expected_stamp_;
-  mutable std::uint32_t current_stamp_ = 0;
   // selectNeighbors (Algorithm 4) working set. batch_ owns the SoA
   // candidate pool the SIMD scoring passes stream over; ranked_ receives
   // rank_top_k's (score, pool index) prefix. Members (not locals) so the
@@ -387,8 +382,10 @@ class VitisSystem final : public pubsub::PubSubSystem {
   std::vector<std::uint32_t> topic_stamp_;
   std::vector<std::size_t> topic_pos_;
   std::uint32_t topic_epoch_ = 0;
-  // Dissemination working sets.
-  std::vector<FloodItem> flood_queue_;
+  // Dissemination working sets: per-publication visit/interest/expected
+  // marks, the BFS frontier and one node's deduplicated targets.
+  pubsub::PublicationStamps stamps_;
+  std::vector<pubsub::WalkItem> flood_queue_;
   std::vector<ids::NodeIndex> targets_;
 };
 

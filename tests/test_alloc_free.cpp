@@ -428,5 +428,70 @@ TEST(AllocationAudit, CoverageSelectionSteadyStateIsAllocationFree) {
   EXPECT_GT(selected, 0u);
 }
 
+TEST(AllocationAudit, PublishIsAllocationFree) {
+  // Every dissemination walk keeps its frontier, targets and route buffer
+  // as members: once a set of publications has run once (growing those
+  // buffers), publishing the same set again over the same overlay — Vitis
+  // from subscribers and from outsiders that route to the rendezvous, RVR's
+  // route + tree flood, OPT's subscriber flood — must not touch the heap.
+  workload::SyntheticScenarioParams params;
+  params.subscriptions.nodes = 600;
+  params.subscriptions.topics = 300;
+  params.subscriptions.subs_per_node = 50;
+  params.subscriptions.pattern = workload::CorrelationPattern::kRandom;
+  params.events = 60;
+  params.seed = 2024;
+  const auto scenario = workload::make_synthetic_scenario(params);
+
+  auto vitis = workload::make_vitis(scenario, VitisConfig{}, 2024);
+  auto rvr = workload::make_rvr(scenario, baselines::rvr::RvrConfig{}, 2024);
+  auto opt = workload::make_opt(scenario, baselines::opt::OptConfig{}, 2024);
+  constexpr std::size_t kWarmup = 15;
+  vitis->run_cycles(kWarmup);
+  rvr->run_cycles(kWarmup);
+  opt->run_cycles(kWarmup);
+
+  // Vitis outsiders: neither subscriber nor relay of the topic, so the
+  // event takes the greedy route first.
+  std::vector<pubsub::Publication> outsiders;
+  for (ids::TopicIndex t = 0; t < 40; ++t) {
+    for (ids::NodeIndex n = 0; n < vitis->node_count(); ++n) {
+      if (!vitis->subscriptions().subscribes(n, t) &&
+          !vitis->relay_table(n).is_relay_for(t)) {
+        outsiders.push_back(pubsub::Publication{t, n});
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(outsiders.size(), 40u);
+
+  struct Case {
+    const char* name;
+    pubsub::PubSubSystem* system;
+    const std::vector<pubsub::Publication>* schedule;
+  };
+  const Case cases[] = {
+      {"Vitis subscriber publishers", vitis.get(), &scenario.schedule},
+      {"Vitis outsider publishers", vitis.get(), &outsiders},
+      {"RVR", rvr.get(), &scenario.schedule},
+      {"OPT", opt.get(), &scenario.schedule},
+  };
+  for (const Case& c : cases) {
+    std::uint64_t messages = 0;
+    const auto publish_all = [&] {
+      for (const auto& [topic, publisher] : *c.schedule) {
+        messages += c.system->publish(topic, publisher).messages;
+      }
+    };
+    publish_all();  // warm-up grows the walk buffers
+    const std::uint64_t before = g_allocations;
+    publish_all();
+    const std::uint64_t during = g_allocations - before;
+    EXPECT_EQ(during, 0u) << during << " heap allocations publishing "
+                          << c.schedule->size() << " events on " << c.name;
+    EXPECT_GT(messages, 0u) << c.name;
+  }
+}
+
 }  // namespace
 }  // namespace vitis::core

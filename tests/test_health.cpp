@@ -106,9 +106,9 @@ TEST(HealthGauges, ViewAgesMeanAndMax) {
   ASSERT_TRUE(tables[2].add(dead_nodes_entry));
 
   double mean = -1.0, max = -1.0;
+  const std::vector<ids::NodeIndex> alive = {0, 1};  // node 2 is dead
   view_ages(
-      tables.size(), [](ids::NodeIndex n) { return n != 2; },
-      [&](ids::NodeIndex n) -> const RoutingTable& { return tables[n]; },
+      alive, [&](ids::NodeIndex n) -> const RoutingTable& { return tables[n]; },
       mean, max);
   EXPECT_DOUBLE_EQ(mean, 2.0);  // (6 + 0 + 0) / 3
   EXPECT_DOUBLE_EQ(max, 6.0);
@@ -118,7 +118,7 @@ TEST(HealthGauges, ViewAgesEmptyUniverse) {
   double mean = -1.0, max = -1.0;
   std::vector<RoutingTable> tables;
   view_ages(
-      0, [](ids::NodeIndex) { return true; },
+      std::span<const ids::NodeIndex>{},
       [&](ids::NodeIndex n) -> const RoutingTable& { return tables[n]; },
       mean, max);
   EXPECT_DOUBLE_EQ(mean, 0.0);
@@ -142,6 +142,27 @@ TEST(HealthGauges, MeanClustersPerTopic) {
   const double mean = analyzer.mean_clusters_per_topic(
       adjacency, subs, [](ids::NodeIndex) { return true; });
   EXPECT_DOUBLE_EQ(mean, 1.5);
+}
+
+TEST(HealthGauges, MeanClustersIgnoresNonSubscriberBridges) {
+  // Node 3 subscribes only to topic 1 but links nodes 0 and 2: topic 0's
+  // BFS must not cross it, so topic 0 keeps clusters {0,1} and {2}, while
+  // topic 1 (subscribers 1 and 3, linked through 0 only) has two singleton
+  // clusters. Mean (2 + 2) / 2. Repeated calls reuse the stamps.
+  pubsub::SubscriptionTable subs(
+      {pubsub::SubscriptionSet({0}), pubsub::SubscriptionSet({0, 1}),
+       pubsub::SubscriptionSet({0}), pubsub::SubscriptionSet({1})},
+      /*topic_count=*/2);
+  std::vector<std::vector<ids::NodeIndex>> adjacency{
+      {1, 3}, {0}, {3}, {0, 2}};
+
+  HealthAnalyzer analyzer;
+  analyzer.attach(std::vector<ids::RingId>{10, 20, 30, 40});
+  for (int rep = 0; rep < 3; ++rep) {
+    EXPECT_DOUBLE_EQ(analyzer.mean_clusters_per_topic(
+                         adjacency, subs, [](ids::NodeIndex) { return true; }),
+                     2.0);
+  }
 }
 
 TEST(HealthGauges, MeanClustersSkipsDeadNodesAndEmptyTopics) {
